@@ -141,8 +141,14 @@ fn main() {
     let root_seconds = t.elapsed().as_secs_f64();
     let basis = root.basis.clone().expect("optimal LP carries a basis");
     report.line(format!(
-        "root LP: {} iterations in {root_seconds:.3} s, objective {:.1}",
-        root.iterations, root.objective
+        "root LP: {} iterations in {root_seconds:.3} s, objective {:.1}; \
+         {} factorizations ({:.3} s), {} pivots, {} factor + eta non-zeros",
+        root.iterations,
+        root.objective,
+        root.stats.refactors,
+        root.stats.refactor_time.as_secs_f64(),
+        root.stats.pivots,
+        root.stats.lu_nnz,
     ));
 
     let children = root_children(&ti, &root);
@@ -223,8 +229,14 @@ fn main() {
         std::fs::write(&path, &render).expect("write solution render");
         report.line(format!(
             "workers {k}: {:?} in {seconds:.3} s, {} nodes, {} LP iterations, \
-             {} warm / {} cold LPs -> {path}",
-            sol.status, sol.nodes, sol.lp_iterations, sol.warm_lps, sol.cold_lps
+             {} warm / {} cold LPs, {} factorizations ({:.3} s) -> {path}",
+            sol.status,
+            sol.nodes,
+            sol.lp_iterations,
+            sol.warm_lps,
+            sol.cold_lps,
+            sol.lp_stats.refactors,
+            sol.lp_stats.refactor_time.as_secs_f64(),
         ));
         runs.push((k, seconds, render, sol));
     }
@@ -251,7 +263,11 @@ fn main() {
                 .with("nodes", sol.nodes)
                 .with("lp_iterations", sol.lp_iterations)
                 .with("warm_lps", sol.warm_lps)
-                .with("cold_lps", sol.cold_lps),
+                .with("cold_lps", sol.cold_lps)
+                .with("refactors", sol.lp_stats.refactors)
+                .with("refactor_seconds", sol.lp_stats.refactor_time.as_secs_f64())
+                .with("pivots", sol.lp_stats.pivots)
+                .with("lu_nnz", sol.lp_stats.lu_nnz),
         );
     }
     let summary = JsonValue::object()
@@ -269,6 +285,11 @@ fn main() {
                 .with("child_lps", children.len())
                 .with("root_lp_seconds", root_seconds)
                 .with("root_lp_iterations", root.iterations)
+                .with("root_lp_refactors", root.stats.refactors)
+                .with(
+                    "root_lp_refactor_seconds",
+                    root.stats.refactor_time.as_secs_f64(),
+                )
                 .with("cold_seconds", cold_seconds)
                 .with("cold_iterations", cold_iterations)
                 .with("warm_seconds", warm_seconds)

@@ -43,9 +43,7 @@
 
 use crate::model::Milp;
 use crate::par;
-use crate::simplex::{
-    solve_lp_warm, solve_lp_with_start, Basis, LpOutcome, LpSolution, SimplexStart,
-};
+use crate::simplex::{solve_cold, solve_warm, Basis, LpOutcome, LpSolution, LpStats, SimplexStart};
 use dynp_obs::{JsonValue, Span};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -166,6 +164,9 @@ pub struct MipSolution {
     /// Node LPs solved cold (phase 1 or a crash basis), including
     /// warm-start attempts that fell back.
     pub cold_lps: usize,
+    /// Factorization and pivot counters summed over every node LP,
+    /// whatever its outcome.
+    pub lp_stats: LpStats,
     /// Wall time spent.
     pub wall_time: Duration,
     /// Incumbent/gap trajectory: one [`GapPoint`] per accepted incumbent
@@ -186,12 +187,14 @@ impl MipSolution {
     ///
     /// Covers everything the search *decided* — status, objective and
     /// point, proven bound, node and LP-iteration counts, warm/cold LP
-    /// split, and the gap trajectory keyed on the node counter — and
+    /// split, the LP kernel's factorization, pivot and non-zero counts,
+    /// and the gap trajectory keyed on the node counter — and
     /// deliberately omits every timing field (`wall_time`, per-point
-    /// `elapsed`). Two solves of the same model under the same limits
-    /// must render byte-identically regardless of
-    /// [`BranchLimits::solver_workers`]; the `milp_par` bench and the CI
-    /// `milp-smoke` job diff these renders byte-for-byte.
+    /// `elapsed`, `lp_stats.refactor_time`). Two solves of the same
+    /// model under the same limits must render byte-identically
+    /// regardless of [`BranchLimits::solver_workers`]; the `milp_par`
+    /// bench and the CI `milp-smoke` job diff these renders
+    /// byte-for-byte.
     pub fn canonical_json(&self) -> JsonValue {
         let finite = |v: f64| {
             if v.is_finite() {
@@ -228,6 +231,18 @@ impl MipSolution {
             (
                 "cold_lps".to_string(),
                 JsonValue::Num(self.cold_lps as f64),
+            ),
+            (
+                "refactors".to_string(),
+                JsonValue::Num(self.lp_stats.refactors as f64),
+            ),
+            (
+                "pivots".to_string(),
+                JsonValue::Num(self.lp_stats.pivots as f64),
+            ),
+            (
+                "lu_nnz".to_string(),
+                JsonValue::Num(self.lp_stats.lu_nnz as f64),
             ),
             (
                 "trajectory".to_string(),
@@ -446,6 +461,11 @@ impl<'a> BranchBound<'a> {
         let m_rounds = obs.map(|r| r.counter("milp.rounds"));
         let m_warm = obs.map(|r| r.counter("milp.warm_lps"));
         let m_cold = obs.map(|r| r.counter("milp.cold_lps"));
+        let m_refactors = obs.map(|r| r.counter("milp.refactors"));
+        let m_pivots = obs.map(|r| r.counter("milp.pivots"));
+        let m_lu_nnz = obs.map(|r| r.counter("milp.lu_nnz"));
+        let m_refactor_us = obs.map(|r| r.counter("milp.refactor_us"));
+        let m_cleanup = obs.map(|r| r.counter("milp.cleanup_iterations"));
         let workers = self.limits.solver_workers.max(1);
         if let Some(r) = obs {
             r.gauge("milp.solver_workers").set(workers as i64);
@@ -454,6 +474,7 @@ impl<'a> BranchBound<'a> {
         let mut lp_iterations = 0usize;
         let mut warm_lps = 0usize;
         let mut cold_lps = 0usize;
+        let mut lp_stats = LpStats::default();
         let mut next_id = 0u64;
         let mut hit_limit = false;
         // Global lower bound starts at -inf and is the min over open nodes.
@@ -551,18 +572,19 @@ impl<'a> BranchBound<'a> {
             let crash = &self.crash;
             let max_lp_iterations = self.limits.max_lp_iterations;
             let outcomes = par::run_indexed(workers, &batch, |_, node| {
+                let _lp_span = Span::enter("milp.lp");
                 if let Some(warm) = &node.warm {
-                    solve_lp_warm(model, &node.lower, &node.upper, warm, max_lp_iterations)
+                    solve_warm(model, &node.lower, &node.upper, warm, max_lp_iterations)
                 } else {
                     let start = crash.as_ref().and_then(|c| c(&node.lower, &node.upper));
-                    let outcome = solve_lp_with_start(
+                    let (outcome, stats) = solve_cold(
                         model,
                         &node.lower,
                         &node.upper,
                         start.as_ref(),
                         max_lp_iterations,
                     );
-                    (outcome, false)
+                    (outcome, false, stats)
                 }
             });
             // ---- Merge: sequentially, in pop order. ----
@@ -576,7 +598,7 @@ impl<'a> BranchBound<'a> {
                 if let Some(m) = &m_nodes {
                     m.inc();
                 }
-                let (outcome, warmed) = match slot {
+                let (outcome, warmed, stats) = match slot {
                     par::SlotOutcome::Done(r) => r,
                     par::SlotOutcome::Panicked => {
                         // A dead LP cannot bound its subtree; exactness is
@@ -586,6 +608,18 @@ impl<'a> BranchBound<'a> {
                         continue;
                     }
                 };
+                lp_stats += stats;
+                for (metric, value) in [
+                    (&m_refactors, stats.refactors as u64),
+                    (&m_pivots, stats.pivots as u64),
+                    (&m_lu_nnz, stats.lu_nnz as u64),
+                    (&m_refactor_us, stats.refactor_time.as_micros() as u64),
+                    (&m_cleanup, stats.cleanup_iterations as u64),
+                ] {
+                    if let Some(m) = metric {
+                        m.add(value);
+                    }
+                }
                 if warmed {
                     warm_lps += 1;
                     if let Some(m) = &m_warm {
@@ -807,6 +841,9 @@ impl<'a> BranchBound<'a> {
                 .kv("lp_iterations", lp_iterations)
                 .kv("warm_lps", warm_lps)
                 .kv("cold_lps", cold_lps)
+                .kv("refactors", lp_stats.refactors)
+                .kv("pivots", lp_stats.pivots)
+                .kv("lu_nnz", lp_stats.lu_nnz)
                 .kv("objective", objective)
                 .kv(
                     "bound",
@@ -828,6 +865,7 @@ impl<'a> BranchBound<'a> {
             lp_iterations,
             warm_lps,
             cold_lps,
+            lp_stats,
             wall_time,
             trajectory,
         }

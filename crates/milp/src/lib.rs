@@ -11,8 +11,12 @@
 //! ILP's starting order to reclaim the slack the coarse grid introduces.
 //!
 //! Crate layout, bottom-up:
-//! * [`sparse`] — compressed sparse-column matrix used by the LP solver,
-//! * [`simplex`] — a bounded-variable, two-phase revised primal simplex,
+//! * [`sparse`] — compressed sparse-column matrix (with a row-major copy)
+//!   used by the LP solver,
+//! * `lu` — sparse LU factorization of the simplex basis with
+//!   product-form eta updates,
+//! * [`simplex`] — a bounded-variable, two-phase revised primal simplex
+//!   with a dual-simplex warm-start repair,
 //! * [`model`] — the general mixed 0/1 linear-program description,
 //! * [`branch`] — best-first branch & bound with LP bounds, integral
 //!   rounding, node/deterministic-work limits, warm-started child LPs
@@ -28,6 +32,7 @@
 
 pub mod branch;
 pub mod compact;
+mod lu;
 pub mod model;
 mod par;
 pub mod scaling;
@@ -42,7 +47,7 @@ pub use model::{Milp, Sense};
 pub use scaling::{TimeScaling, PAPER_MEMORY_BYTES, PAPER_X_BYTES};
 pub use simplex::{
     solve_lp, solve_lp_warm, solve_lp_with_bounds, solve_lp_with_start, Basis, LpOutcome,
-    LpSolution, SimplexStart,
+    LpSolution, LpStats, SimplexStart,
 };
 pub use solve::{
     solve_snapshot, ExactComparison, ExactRun, SolveConfig, SolveError, SolveIncomplete,

@@ -1,4 +1,5 @@
-//! A bounded-variable, two-phase revised primal simplex.
+//! A bounded-variable, two-phase revised primal simplex, with a dual
+//! simplex repair for warm starts.
 //!
 //! This is the LP engine under the branch & bound of [`crate::branch`]. It
 //! is written for the structure of time-indexed scheduling relaxations —
@@ -8,37 +9,83 @@
 //! * all three constraint senses (slack/surplus added internally),
 //! * phase 1 over a full artificial basis (artificials are fixed to zero
 //!   afterwards, which safely neutralizes redundant rows),
-//! * explicit dense basis inverse with periodic refactorization,
-//! * Dantzig pricing with a permanent switch to Bland's rule after a
-//!   stall, guaranteeing termination.
+//! * a sparse LU of the basis with one product-form eta column per pivot
+//!   ([`crate::lu`]), refactorized when the eta file grows too long or
+//!   too dense,
+//! * the pivot row `αᵣ = ρᵣᵀA` formed row-wise from the matrix's
+//!   row-major copy ([`crate::sparse::CscMatrix::row_major`]), visiting
+//!   only the rows where `ρᵣ` is non-zero,
+//! * reduced costs and the phase objective updated from that pivot row
+//!   on every pivot, and recomputed from scratch at every
+//!   refactorization, every change of cost vector, and before a phase
+//!   declares optimality — so pricing and the dual ratio test read a
+//!   maintained vector instead of a column dot product per column,
+//! * Dantzig pricing over rotating blocks with a permanent switch to
+//!   Bland's rule after a stall, guaranteeing termination.
 //!
-//! Determinism: no randomness, no wall clock; the iteration limit is the
-//! only resource bound, so results are reproducible bit-for-bit.
+//! Determinism: no randomness, and the iteration limit is the only
+//! resource bound, so results are reproducible bit-for-bit. The wall
+//! clock is read once per refactorization, only to report its time in
+//! [`LpStats`].
 
-// Dense linear-algebra kernels below index row-major buffers directly;
-// iterator adaptors obscure the math there.
+// The kernels below walk parallel per-row arrays (basis, FTRAN'd
+// columns, basic values) by position; iterator adaptors obscure the math
+// there.
 #![allow(clippy::needless_range_loop)]
 
+use std::ops::AddAssign;
+use std::time::{Duration, Instant};
+
+use crate::lu::BasisLu;
 use crate::model::{Milp, Sense};
+use crate::sparse::{CscBuilder, CscMatrix, CsrMatrix};
 
 /// Feasibility / optimality tolerance.
 const TOL: f64 = 1e-7;
 /// Smallest pivot magnitude accepted.
 const PIVOT_TOL: f64 = 1e-9;
-/// Refactorize the basis inverse at least every this many pivots. The
-/// actual interval is `max(REFACTOR_EVERY, m/2)` — the dense rebuild is
-/// O(m³), so a fixed interval makes refactorization the dominant cost on
-/// large bases (measured ~90 % of solve time at m ≈ 1300) while the
-/// rank-one pivot updates it amortizes against are only O(m²). Scaling
-/// the interval with m keeps the amortized cost per pivot at O(m²);
-/// the extra drift this admits is caught by the `singular` latch (cold
-/// restart) and the final true-cost cleanup pass.
-const REFACTOR_EVERY: usize = 128;
+/// Relative disagreement between a pivot element computed from the pivot
+/// row and from the entering column beyond which the factorization is
+/// renewed at the next iteration.
+const DRIFT_TOL: f64 = 1e-7;
 /// Switch from Dantzig to Bland pricing after this many iterations without
 /// improvement, to break degenerate cycles.
 const STALL_LIMIT: usize = 512;
 /// Column block size for partial pricing.
 const PARTIAL_BLOCK: usize = 512;
+/// Primal phases keep every reduced cost up to date from the pivot row
+/// on models with at most this many columns (slacks and artificials
+/// included). Wider models price partially from duals `y = B⁻ᵀc_B`
+/// recomputed every iteration instead: there the pivot row touches far
+/// more entries than a pricing block does.
+const MAINTAINED_PRICING_COLS: usize = 8 * PARTIAL_BLOCK;
+
+/// Work counters of one LP solve. They are counted per factorization and
+/// per pivot; only factorizations are timed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LpStats {
+    /// Basis factorizations built.
+    pub refactors: usize,
+    /// Basis changes, each of which appends one eta column.
+    pub pivots: usize,
+    /// Non-zeros of every factorization built plus every eta column
+    /// appended.
+    pub lu_nnz: usize,
+    /// Iterations of the final pass on the true (unperturbed) costs.
+    pub cleanup_iterations: usize,
+    /// Wall time spent building factorizations.
+    pub refactor_time: Duration,
+}
+
+impl AddAssign for LpStats {
+    fn add_assign(&mut self, other: LpStats) {
+        self.refactors += other.refactors;
+        self.pivots += other.pivots;
+        self.lu_nnz += other.lu_nnz;
+        self.cleanup_iterations += other.cleanup_iterations;
+        self.refactor_time += other.refactor_time;
+    }
+}
 
 /// A solved LP relaxation.
 #[derive(Clone, Debug)]
@@ -58,6 +105,8 @@ pub struct LpSolution {
     /// [`Basis`]). `None` only when the solve path cannot certify a basis
     /// worth reusing.
     pub basis: Option<Basis>,
+    /// Factorization and pivot counters, abandoned attempts included.
+    pub stats: LpStats,
 }
 
 /// An optimal basis captured from a solved LP, reusable to warm-start a
@@ -113,9 +162,10 @@ impl LpOutcome {
 /// resting at their *upper* bound; all other nonbasic variables rest at
 /// their lower bound.
 ///
-/// The solver verifies the basis (nonsingular, primal feasible within
-/// tolerance) and silently falls back to the artificial phase-1 start if
-/// the verification fails, so a wrong crash can cost time but never
+/// The solver factorizes the basis (a triangular crash factors in the
+/// singleton passes alone) and verifies it is nonsingular and primal
+/// feasible within tolerance, silently falling back to the artificial
+/// phase-1 start if not, so a wrong crash can cost time but never
 /// correctness.
 #[derive(Clone, Debug)]
 pub struct SimplexStart {
@@ -123,12 +173,6 @@ pub struct SimplexStart {
     pub basis: Vec<usize>,
     /// Nonbasic variables parked at their upper bound.
     pub at_upper: Vec<usize>,
-    /// Declares that the basis matrix is `B = I + L` with unit diagonal
-    /// and `L` strictly lower triangular satisfying `L² = 0` (e.g. the
-    /// assignment/capacity crash of time-indexed models). The solver
-    /// verifies the claim structurally and then builds `B⁻¹ = I − L` in
-    /// O(nnz) instead of a dense O(m³) inversion.
-    pub unit_lower_triangular: bool,
 }
 
 /// Solves the LP relaxation of `model` with overridden variable bounds
@@ -152,9 +196,7 @@ pub fn solve_lp_with_start(
     start: Option<&SimplexStart>,
     max_iterations: usize,
 ) -> LpOutcome {
-    let mut simplex = Simplex::new(model, node_lower, node_upper);
-    let crashed = start.is_some_and(|s| simplex.try_crash(s));
-    simplex.solve(max_iterations, crashed)
+    solve_cold(model, node_lower, node_upper, start, max_iterations).0
 }
 
 /// Solves the plain LP relaxation of `model`.
@@ -164,7 +206,7 @@ pub fn solve_lp(model: &Milp, max_iterations: usize) -> LpOutcome {
 
 /// Like [`solve_lp_with_bounds`], warm-starting from a parent node's
 /// captured optimal [`Basis`]: the basis is re-installed under the child
-/// bounds, refactorized, and repaired with dual simplex pivots — skipping
+/// bounds, factorized, and repaired with dual simplex pivots — skipping
 /// phase 1 entirely on the usual branch & bound path where only one
 /// variable's bound changed.
 ///
@@ -181,34 +223,80 @@ pub fn solve_lp_warm(
     warm: &Basis,
     max_iterations: usize,
 ) -> (LpOutcome, bool) {
+    let (out, warmed, _) = solve_warm(model, node_lower, node_upper, warm, max_iterations);
+    (out, warmed)
+}
+
+/// [`solve_lp_with_start`], also returning the work counters, which
+/// every outcome has (an infeasible LP factorizes and pivots too).
+pub(crate) fn solve_cold(
+    model: &Milp,
+    node_lower: &[f64],
+    node_upper: &[f64],
+    start: Option<&SimplexStart>,
+    max_iterations: usize,
+) -> (LpOutcome, LpStats) {
     let mut simplex = Simplex::new(model, node_lower, node_upper);
+    let crashed = start.is_some_and(|s| simplex.try_crash(s));
+    simplex.solve(max_iterations, crashed)
+}
+
+/// [`solve_lp_warm`], also returning the work counters.
+pub(crate) fn solve_warm(
+    model: &Milp,
+    node_lower: &[f64],
+    node_upper: &[f64],
+    warm: &Basis,
+    max_iterations: usize,
+) -> (LpOutcome, bool, LpStats) {
+    let mut simplex = Simplex::new(model, node_lower, node_upper);
+    let mut wasted = 0;
     if simplex.try_warm(warm) {
         match simplex.solve_from_warm(max_iterations) {
-            WarmResult::Done(out) => return (out, true),
-            WarmResult::Fallback(wasted) => {
-                let mut out = solve_lp_with_bounds(model, node_lower, node_upper, max_iterations);
-                if let LpOutcome::Optimal(s) = &mut out {
-                    s.iterations += wasted;
-                }
-                return (out, false);
+            WarmResult::Done(out) => {
+                let (out, stats) = with_stats(out, simplex.stats);
+                return (out, true, stats);
             }
+            WarmResult::Fallback => wasted = simplex.iterations,
         }
     }
-    (
-        solve_lp_with_bounds(model, node_lower, node_upper, max_iterations),
-        false,
-    )
+    let (mut out, mut stats) = solve_cold(model, node_lower, node_upper, None, max_iterations);
+    stats += simplex.stats;
+    if let LpOutcome::Optimal(s) = &mut out {
+        s.iterations += wasted;
+        s.stats = stats;
+    }
+    (out, false, stats)
+}
+
+/// The basis matrix of `basis` (internal indexing, see [`Basis`]) for
+/// `model`, as the solver factorizes it.
+#[cfg(test)]
+pub(crate) fn basis_matrix_of(model: &Milp, basis: &[usize]) -> CscMatrix {
+    let mut sx = Simplex::new(model, &model.lower, &model.upper);
+    sx.basis = basis.to_vec();
+    sx.basis_matrix()
+}
+
+/// Stamps `stats` onto an optimal solution and returns both.
+fn with_stats(mut out: LpOutcome, stats: LpStats) -> (LpOutcome, LpStats) {
+    if let LpOutcome::Optimal(s) = &mut out {
+        s.stats = stats;
+    }
+    (out, stats)
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum VarState {
-    Basic(usize),
+    Basic,
     AtLower,
     AtUpper,
 }
 
 struct Simplex<'a> {
     model: &'a Milp,
+    /// Row-major copy of the constraint matrix, for pivot rows.
+    rows: &'a CsrMatrix,
     m: usize,
     n_struct: usize,
     n_slack: usize,
@@ -222,18 +310,32 @@ struct Simplex<'a> {
     upper: Vec<f64>,
     basis: Vec<usize>,
     state: Vec<VarState>,
-    /// Dense m x m basis inverse, row-major.
-    binv: Vec<f64>,
+    /// Factorization of the basis matrix plus its eta file.
+    lu: BasisLu,
+    /// Set when a pivot element computed two ways disagreed: the next
+    /// iteration refactorizes whatever the eta file's size.
+    drifted: bool,
     /// Current values of all variables.
     x: Vec<f64>,
-    pivots_since_refactor: usize,
+    /// Reduced costs of all variables (0 for basic ones) under the cost
+    /// vector named by `priced`.
+    d: Vec<f64>,
+    /// Phase objective under the same cost vector.
+    obj: f64,
+    /// The cost vector `d` and `obj` refer to, as `(phase1, perturbed)`;
+    /// `None` until first priced.
+    priced: Option<(bool, bool)>,
+    /// Whether `d` was recomputed from scratch with no pivot since.
+    fresh: bool,
+    /// The current pivot row, one entry per variable.
+    alpha: Vec<f64>,
     iterations: usize,
     /// Rotating cursor for partial pricing.
     price_start: usize,
-    /// Latched when a periodic refactorization finds the evolved basis
-    /// numerically singular (a pivot accepted on drifted inverse values
-    /// can do that). [`Simplex::solve`] restarts cold once; the warm
-    /// path falls back.
+    /// Latched when a refactorization finds the evolved basis
+    /// numerically singular (a pivot accepted on drifted values can do
+    /// that). [`Simplex::solve`] restarts cold once; the warm path falls
+    /// back.
     singular: bool,
     /// Per-structural-column phase-2 cost perturbation, a deterministic
     /// pure function of the column index. Time-indexed models price
@@ -246,8 +348,7 @@ struct Simplex<'a> {
     perturbation: Vec<f64>,
     /// Whether [`Simplex::cost`] currently adds the perturbation.
     perturbed: bool,
-    /// Pivots between dense refactorizations (see [`REFACTOR_EVERY`]).
-    refactor_every: usize,
+    stats: LpStats,
 }
 
 /// Relative scale of the phase-2 cost perturbation: column `j` gets
@@ -304,6 +405,7 @@ impl<'a> Simplex<'a> {
 
         let mut sx = Simplex {
             model,
+            rows: model.matrix.row_major(),
             m,
             n_struct,
             n_slack,
@@ -315,9 +417,14 @@ impl<'a> Simplex<'a> {
             upper,
             basis: Vec::new(),
             state: vec![VarState::AtLower; n_total],
-            binv: vec![0.0; m * m],
+            lu: BasisLu::diagonal(&vec![1.0; m]),
+            drifted: false,
             x: vec![0.0; n_total],
-            pivots_since_refactor: 0,
+            d: vec![0.0; n_total],
+            obj: 0.0,
+            priced: None,
+            fresh: false,
+            alpha: vec![0.0; n_total],
             iterations: 0,
             price_start: 0,
             singular: false,
@@ -329,7 +436,7 @@ impl<'a> Simplex<'a> {
                 })
                 .collect(),
             perturbed: false,
-            refactor_every: REFACTOR_EVERY.max(m / 2),
+            stats: LpStats::default(),
         };
         sx.initialize();
         sx
@@ -382,15 +489,18 @@ impl<'a> Simplex<'a> {
             self.art_sign[i] = if residual[i] >= 0.0 { 1.0 } else { -1.0 };
             let art = self.n_struct + self.n_slack + i;
             self.basis.push(art);
-            self.state[art] = VarState::Basic(i);
+            self.state[art] = VarState::Basic;
             self.x[art] = residual[i].abs();
         }
-        // B = diag(art_sign) so B^-1 = diag(art_sign).
-        self.binv.iter_mut().for_each(|v| *v = 0.0);
-        for i in 0..self.m {
-            self.binv[i * self.m + i] = self.art_sign[i];
-        }
-        self.pivots_since_refactor = 0;
+        self.factor_artificial();
+    }
+
+    /// Installs the factorization of the all-artificial basis,
+    /// `B = diag(art_sign)`.
+    fn factor_artificial(&mut self) {
+        self.lu = BasisLu::diagonal(&self.art_sign);
+        self.drifted = false;
+        self.priced = None;
     }
 
     /// Cost vector of the given phase.
@@ -412,170 +522,229 @@ impl<'a> Simplex<'a> {
         }
     }
 
+    /// Recomputes the reduced costs and the phase objective from scratch
+    /// for the given phase's cost vector: `y = B⁻ᵀ c_B`, then
+    /// `d_j = c_j − yᵀA_j` for every nonbasic column.
+    fn price(&mut self, phase1: bool) {
+        let y = self.duals(phase1);
+        for j in 0..self.n_total {
+            self.d[j] = if let VarState::Basic = self.state[j] {
+                0.0
+            } else {
+                self.reduced_cost(phase1, j, &y)
+            };
+        }
+        self.obj = self.phase_objective(phase1);
+        self.priced = Some((phase1, self.perturbed));
+        self.fresh = true;
+    }
+
+    /// The duals `y = B⁻ᵀc_B` of the given phase's cost vector.
+    fn duals(&mut self, phase1: bool) -> Vec<f64> {
+        let mut y: Vec<f64> = self.basis.iter().map(|&v| self.cost(phase1, v)).collect();
+        self.lu.btran(&mut y);
+        y
+    }
+
+    /// `c_j − yᵀA_j` for the given phase's cost vector.
+    fn reduced_cost(&self, phase1: bool, j: usize, y: &[f64]) -> f64 {
+        let mut d = self.cost(phase1, j);
+        self.for_column(j, |r, v| d -= y[r] * v);
+        d
+    }
+
+    /// The phase objective `Σ c_j x_j`, computed from scratch.
+    fn phase_objective(&self, phase1: bool) -> f64 {
+        (0..self.n_total)
+            .map(|j| self.cost(phase1, j) * self.x[j])
+            .sum()
+    }
+
+    /// Prices for `phase1` (at the current perturbation) unless `d`
+    /// already refers to that cost vector.
+    fn ensure_priced(&mut self, phase1: bool) {
+        if self.priced != Some((phase1, self.perturbed)) {
+            self.price(phase1);
+        }
+    }
+
     /// Reduced-cost test of one nonbasic column: returns `(|d|, direction)`
     /// when entering `j` improves the phase objective.
-    fn price_candidate(&self, phase1: bool, j: usize, y: &[f64]) -> Option<(f64, f64)> {
+    fn price_candidate(&self, j: usize) -> Option<(f64, f64)> {
         let dir = match self.state[j] {
-            VarState::Basic(_) => return None,
+            VarState::Basic => return None,
             VarState::AtLower => 1.0,
             VarState::AtUpper => -1.0,
         };
         if self.lower[j] == self.upper[j] {
             return None; // fixed (e.g. neutralized artificials)
         }
-        let mut d = self.cost(phase1, j);
-        self.for_column(j, |r, v| d -= y[r] * v);
+        let d = self.d[j];
         let improving = if dir > 0.0 { d < -TOL } else { d > TOL };
         improving.then_some((d.abs(), dir))
     }
 
-    /// y = c_B^T B^-1.
-    fn btran(&self, phase1: bool) -> Vec<f64> {
-        let mut y = vec![0.0; self.m];
-        for i in 0..self.m {
-            let cb = self.cost(phase1, self.basis[i]);
-            if cb != 0.0 {
-                let row = &self.binv[i * self.m..(i + 1) * self.m];
-                for k in 0..self.m {
-                    y[k] += cb * row[k];
+    /// Chooses the entering column: partial pricing over rotating blocks
+    /// under Dantzig, a full scan from index 0 under Bland (anti-cycling
+    /// needs a fixed order). Returns `(column, direction)`. With `duals`
+    /// `(y, phase1)` each scanned column's reduced cost is computed from
+    /// `y` first; without, the maintained ones are read.
+    fn choose_entering(
+        &mut self,
+        bland: bool,
+        duals: Option<(&[f64], bool)>,
+    ) -> Option<(usize, f64)> {
+        let candidate = |sx: &mut Self, j: usize| {
+            if let Some((y, phase1)) = duals {
+                if !matches!(sx.state[j], VarState::Basic) {
+                    sx.d[j] = sx.reduced_cost(phase1, j, y);
                 }
             }
+            sx.price_candidate(j)
+        };
+        if bland {
+            return (0..self.n_total).find_map(|j| candidate(self, j).map(|(_, dir)| (j, dir)));
         }
-        y
+        // Rotate through blocks; stop at the end of the first block that
+        // contained an improving column.
+        let n = self.n_total;
+        let mut enter: Option<(usize, f64, f64)> = None; // (var, |d|, dir)
+        let mut scanned = 0usize;
+        while scanned < n {
+            let block_end = (scanned + PARTIAL_BLOCK).min(n);
+            // The block's indices, `price_start + scanned..` wrapped
+            // around `n`, as at most two plain ranges.
+            let from = (self.price_start + scanned) % n;
+            let len = block_end - scanned;
+            let wrapped = (from + len).saturating_sub(n);
+            for j in (from..from + len - wrapped).chain(0..wrapped) {
+                if let Some((d_abs, dir)) = candidate(self, j) {
+                    if enter.is_none_or(|(_, best, _)| d_abs > best) {
+                        enter = Some((j, d_abs, dir));
+                    }
+                }
+            }
+            scanned = block_end;
+            if enter.is_some() {
+                self.price_start = (self.price_start + scanned) % n;
+                break;
+            }
+        }
+        enter.map(|(j, _, dir)| (j, dir))
     }
 
-    /// w = B^-1 A_j.
-    fn ftran(&self, j: usize) -> Vec<f64> {
+    /// w = B⁻¹ A_j, indexed by basis position.
+    fn ftran(&mut self, j: usize) -> Vec<f64> {
         let mut w = vec![0.0; self.m];
-        self.for_column(j, |r, v| {
-            for i in 0..self.m {
-                w[i] += self.binv[i * self.m + r] * v;
-            }
-        });
+        self.for_column(j, |r, v| w[r] = v);
+        self.lu.ftran(&mut w);
         w
     }
 
-    /// Non-panicking refactorization; returns `false` on a singular basis
-    /// (leaving the inverse in an undefined state — reinitialize after).
+    /// Forms the pivot row `αᵣ = ρᵣᵀ[A | slacks | artificials]` with
+    /// `ρᵣ = B⁻ᵀeᵣ` into `alpha`. The structural part accumulates row by
+    /// row over the rows where `ρᵣ` is non-zero only; a slack's or an
+    /// artificial's entry is its row's `ρ` times its sign.
+    fn pivot_row(&mut self, r: usize) {
+        let mut rho = vec![0.0; self.m];
+        rho[r] = 1.0;
+        self.lu.btran(&mut rho);
+        let (structural, rest) = self.alpha.split_at_mut(self.n_struct);
+        let (slacks, artificials) = rest.split_at_mut(self.n_slack);
+        structural.fill(0.0);
+        for (i, &p) in rho.iter().enumerate() {
+            if p != 0.0 {
+                for (j, a) in self.rows.row(i) {
+                    structural[j] += p * a;
+                }
+            }
+        }
+        for (k, alpha) in slacks.iter_mut().enumerate() {
+            *alpha = rho[self.slack_row[k]] * self.slack_sign[k];
+        }
+        for (i, alpha) in artificials.iter_mut().enumerate() {
+            *alpha = rho[i] * self.art_sign[i];
+        }
+    }
+
+    /// Dual update for column `q` entering in place of the basic
+    /// variable `leaving`, from the pivot row in `alpha`: every nonbasic
+    /// reduced cost moves by `−(d_q/α_q)·α_j`. `w_r` is the same pivot
+    /// element from the entering column's FTRAN; a disagreement beyond
+    /// [`DRIFT_TOL`] schedules a refactorization.
+    fn update_duals(&mut self, q: usize, leaving: usize, w_r: f64) {
+        let alpha_q = self.alpha[q];
+        if (alpha_q - w_r).abs() > DRIFT_TOL * (1.0 + w_r.abs()) {
+            self.drifted = true;
+        }
+        let theta = self.d[q] / alpha_q;
+        for (d, &alpha) in self.d.iter_mut().zip(&self.alpha) {
+            *d -= theta * alpha;
+        }
+        // Basic columns' pivot-row entries are 0 (1 for the leaving one)
+        // up to rounding; restore their exact values.
+        for &var in &self.basis {
+            self.d[var] = 0.0;
+        }
+        self.d[q] = 0.0;
+        self.d[leaving] = -theta;
+    }
+
+    /// Replaces the basic variable of row `r` by `entering` in the basis
+    /// and its factorization (`w` is the entering column's FTRAN).
+    fn replace_basic(&mut self, r: usize, entering: usize, w: &[f64]) {
+        self.basis[r] = entering;
+        self.state[entering] = VarState::Basic;
+        self.stats.lu_nnz += self.lu.update(r, w);
+        self.stats.pivots += 1;
+        self.fresh = false;
+    }
+
+    /// Whether the next iteration must refactorize.
+    fn refactor_due(&self) -> bool {
+        self.drifted || self.lu.needs_refactor()
+    }
+
+    /// The basis matrix, column `i` being the basic column of row `i`.
+    fn basis_matrix(&self) -> CscMatrix {
+        let mut b = CscBuilder::new(self.m);
+        let mut column = Vec::new();
+        for &var in &self.basis {
+            column.clear();
+            self.for_column(var, |r, v| column.push((r, v)));
+            b.push_column(&column);
+        }
+        b.build()
+    }
+
+    /// Factorizes the current basis, then recomputes the basic values and
+    /// (once priced) the reduced costs from scratch. Returns `false` on a
+    /// singular basis, leaving the factorization of the previous basis in
+    /// place.
     fn try_refactorize(&mut self) -> bool {
-        let m = self.m;
-        // Dense B, column i = column of basis[i].
-        let mut b = vec![0.0; m * m];
-        for (i, &var) in self.basis.iter().enumerate() {
-            self.for_column(var, |r, v| b[r * m + i] = v);
-        }
-        // Gauss-Jordan with partial pivoting on [B | I].
-        let mut inv = vec![0.0; m * m];
-        for i in 0..m {
-            inv[i * m + i] = 1.0;
-        }
-        for col in 0..m {
-            // Pivot search.
-            let mut best = col;
-            let mut best_abs = b[col * m + col].abs();
-            for row in col + 1..m {
-                let a = b[row * m + col].abs();
-                if a > best_abs {
-                    best = row;
-                    best_abs = a;
-                }
-            }
-            if best_abs <= PIVOT_TOL {
-                return false;
-            }
-            if best != col {
-                for k in 0..m {
-                    b.swap(col * m + k, best * m + k);
-                    inv.swap(col * m + k, best * m + k);
-                }
-            }
-            let piv = b[col * m + col];
-            for k in 0..m {
-                b[col * m + k] /= piv;
-                inv[col * m + k] /= piv;
-            }
-            for row in 0..m {
-                if row != col {
-                    let factor = b[row * m + col];
-                    if factor != 0.0 {
-                        for k in 0..m {
-                            b[row * m + k] -= factor * b[col * m + k];
-                            inv[row * m + k] -= factor * inv[col * m + k];
-                        }
-                    }
-                }
-            }
-        }
-        self.binv = inv;
-        self.recompute_basics();
-        self.pivots_since_refactor = 0;
-        true
-    }
-
-    /// Builds `B⁻¹ = I − L` for a verified unit-lower-triangular basis
-    /// with `L² = 0` (see [`SimplexStart::unit_lower_triangular`]), then
-    /// recomputes the basic values. O(m² + nnz) instead of O(m³).
-    fn try_triangular_inverse(&mut self) -> bool {
-        let m = self.m;
-        // Verify structure while collecting L's entries: column c (the
-        // basis var of row c) must have a unit entry on the diagonal and
-        // all other entries strictly below it; sub-diagonal entries must
-        // only land on rows whose own columns are "light" (no
-        // sub-diagonal entries), which is exactly L² = 0.
-        let mut entries: Vec<(usize, usize, f64)> = Vec::new();
-        let mut heavy = vec![false; m]; // column has sub-diagonal entries
-        for (c, &var) in self.basis.iter().enumerate() {
-            let mut diag_ok = false;
-            let mut bad = false;
-            self.for_column(var, |r, v| {
-                if r == c {
-                    if (v - 1.0).abs() < 1e-12 {
-                        diag_ok = true;
-                    } else {
-                        bad = true;
-                    }
-                } else if r > c {
-                    entries.push((r, c, v));
-                    heavy[c] = true;
-                } else {
-                    bad = true; // entry above the diagonal
-                }
-            });
-            if bad || !diag_ok {
-                return false;
-            }
-        }
-        if entries.iter().any(|&(r, _, _)| heavy[r]) {
-            return false; // L² != 0
-        }
-        self.binv.iter_mut().for_each(|v| *v = 0.0);
-        for i in 0..m {
-            self.binv[i * m + i] = 1.0;
-        }
-        for &(r, c, v) in &entries {
-            self.binv[r * m + c] = -v;
-        }
-        self.recompute_basics();
-        self.pivots_since_refactor = 0;
-        true
-    }
-
-    /// Attempts to install a caller-supplied crash basis; returns whether
-    /// the basis is usable (nonsingular and primal feasible), in which case
-    /// phase 1 can be skipped. On failure the solver is restored to the
-    /// artificial start.
-    fn try_crash(&mut self, start: &SimplexStart) -> bool {
-        if start.basis.len() != self.m {
+        let started = Instant::now();
+        let factored = BasisLu::factor(&self.basis_matrix());
+        self.stats.refactor_time += started.elapsed();
+        let Ok(lu) = factored else {
             return false;
+        };
+        self.stats.refactors += 1;
+        self.stats.lu_nnz += lu.factor_nnz();
+        self.lu = lu;
+        self.drifted = false;
+        self.recompute_basics();
+        if let Some((phase1, _)) = self.priced {
+            self.price(phase1);
         }
+        true
+    }
+
+    /// Puts every nonbasic structural and slack variable on a bound —
+    /// the lower one unless listed in `at_upper` with a finite upper —
+    /// pins the artificials to `[0, 0]`, and installs `basis`. Returns
+    /// `false` on a duplicate entry.
+    fn install(&mut self, basis: &[usize], at_upper: &[usize]) -> bool {
         let limit = self.n_struct + self.n_slack;
-        if start.basis.iter().any(|&v| v >= limit) {
-            return false;
-        }
-        // Install states: nonbasic at lower unless listed at_upper.
-        let old_basis = self.basis.clone();
-        let old_state = self.state.clone();
-        let old_x = self.x.clone();
         for j in 0..limit {
             if self.lower[j].is_finite() {
                 self.state[j] = VarState::AtLower;
@@ -588,95 +757,7 @@ impl<'a> Simplex<'a> {
                 self.x[j] = 0.0;
             }
         }
-        for &j in &start.at_upper {
-            if j < limit && self.upper[j].is_finite() {
-                self.state[j] = VarState::AtUpper;
-                self.x[j] = self.upper[j];
-            }
-        }
-        // Artificials nonbasic, pinned at zero.
-        for i in 0..self.m {
-            let art = limit + i;
-            self.state[art] = VarState::AtLower;
-            self.x[art] = 0.0;
-            self.lower[art] = 0.0;
-            self.upper[art] = 0.0;
-        }
-        let mut seen = vec![false; limit];
-        let mut duplicate = false;
-        for (row, &var) in start.basis.iter().enumerate() {
-            if seen[var] {
-                duplicate = true;
-                break;
-            }
-            seen[var] = true;
-            self.basis[row] = var;
-            self.state[var] = VarState::Basic(row);
-        }
-        let inverted = !duplicate
-            && if start.unit_lower_triangular {
-                self.try_triangular_inverse()
-            } else {
-                self.try_refactorize()
-            };
-        let ok = inverted && self.is_primal_feasible();
-        if !ok {
-            // Restore the artificial start untouched.
-            self.basis = old_basis;
-            self.state = old_state;
-            self.x = old_x;
-            for i in 0..self.m {
-                let art = limit + i;
-                self.lower[art] = 0.0;
-                self.upper[art] = f64::INFINITY;
-            }
-            self.binv.iter_mut().for_each(|v| *v = 0.0);
-            for i in 0..self.m {
-                self.binv[i * self.m + i] = self.art_sign[i];
-            }
-            self.pivots_since_refactor = 0;
-        }
-        ok
-    }
-
-    /// Attempts to install a parent node's captured optimal basis under
-    /// this LP's (child) bounds; returns whether the install succeeded.
-    ///
-    /// Unlike [`Self::try_crash`] the basis may contain artificials
-    /// (basic at zero on redundant parent rows) and the result need
-    /// *not* be primal feasible — bound changes make exactly the
-    /// branched variable's row infeasible, which [`Self::run_dual`]
-    /// repairs. What it must be is structurally sound: right length, no
-    /// duplicates, nonsingular. On failure the solver is restored to the
-    /// artificial phase-1 start.
-    fn try_warm(&mut self, warm: &Basis) -> bool {
-        if warm.basis.len() != self.m {
-            return false;
-        }
-        if warm.basis.iter().any(|&v| v >= self.n_total) {
-            return false;
-        }
-        let limit = self.n_struct + self.n_slack;
-        let old_basis = self.basis.clone();
-        let old_state = self.state.clone();
-        let old_x = self.x.clone();
-        // Nonbasic structural + slack variables onto a (child) bound —
-        // the parent's at_upper choices stay dual feasible because
-        // reduced costs depend on the basis and objective, not on the
-        // bound values.
-        for j in 0..limit {
-            if self.lower[j].is_finite() {
-                self.state[j] = VarState::AtLower;
-                self.x[j] = self.lower[j];
-            } else if self.upper[j].is_finite() {
-                self.state[j] = VarState::AtUpper;
-                self.x[j] = self.upper[j];
-            } else {
-                self.state[j] = VarState::AtLower;
-                self.x[j] = 0.0;
-            }
-        }
-        for &j in &warm.at_upper {
+        for &j in at_upper {
             if j < limit && self.upper[j].is_finite() {
                 self.state[j] = VarState::AtUpper;
                 self.x[j] = self.upper[j];
@@ -693,31 +774,75 @@ impl<'a> Simplex<'a> {
             self.upper[art] = 0.0;
         }
         let mut seen = vec![false; self.n_total];
-        let mut duplicate = false;
-        for (row, &var) in warm.basis.iter().enumerate() {
+        for (row, &var) in basis.iter().enumerate() {
             if seen[var] {
-                duplicate = true;
-                break;
+                return false;
             }
             seen[var] = true;
             self.basis[row] = var;
-            self.state[var] = VarState::Basic(row);
+            self.state[var] = VarState::Basic;
         }
-        let ok = !duplicate && self.try_refactorize();
+        true
+    }
+
+    /// Restores the artificial phase-1 start after a failed install.
+    fn restore_artificial(&mut self, basis: Vec<usize>, state: Vec<VarState>, x: Vec<f64>) {
+        self.basis = basis;
+        self.state = state;
+        self.x = x;
+        let limit = self.n_struct + self.n_slack;
+        for i in 0..self.m {
+            self.lower[limit + i] = 0.0;
+            self.upper[limit + i] = f64::INFINITY;
+        }
+        self.factor_artificial();
+    }
+
+    /// Attempts to install a caller-supplied crash basis; returns whether
+    /// the basis is usable (nonsingular and primal feasible), in which case
+    /// phase 1 can be skipped. On failure the solver is restored to the
+    /// artificial start.
+    fn try_crash(&mut self, start: &SimplexStart) -> bool {
+        if start.basis.len() != self.m {
+            return false;
+        }
+        let limit = self.n_struct + self.n_slack;
+        if start.basis.iter().any(|&v| v >= limit) {
+            return false;
+        }
+        let old = (self.basis.clone(), self.state.clone(), self.x.clone());
+        let ok = self.install(&start.basis, &start.at_upper)
+            && self.try_refactorize()
+            && self.is_primal_feasible();
         if !ok {
-            self.basis = old_basis;
-            self.state = old_state;
-            self.x = old_x;
-            for i in 0..self.m {
-                let art = limit + i;
-                self.lower[art] = 0.0;
-                self.upper[art] = f64::INFINITY;
-            }
-            self.binv.iter_mut().for_each(|v| *v = 0.0);
-            for i in 0..self.m {
-                self.binv[i * self.m + i] = self.art_sign[i];
-            }
-            self.pivots_since_refactor = 0;
+            self.restore_artificial(old.0, old.1, old.2);
+        }
+        ok
+    }
+
+    /// Attempts to install a parent node's captured optimal basis under
+    /// this LP's (child) bounds; returns whether the install succeeded.
+    ///
+    /// Unlike [`Self::try_crash`] the basis may contain artificials
+    /// (basic at zero on redundant parent rows) and the result need
+    /// *not* be primal feasible — bound changes make exactly the
+    /// branched variable's row infeasible, which [`Self::run_dual`]
+    /// repairs. The parent's at-upper choices stay dual feasible because
+    /// reduced costs depend on the basis and objective, not on the bound
+    /// values. What the basis must be is structurally sound: right
+    /// length, no duplicates, nonsingular. On failure the solver is
+    /// restored to the artificial phase-1 start.
+    fn try_warm(&mut self, warm: &Basis) -> bool {
+        if warm.basis.len() != self.m {
+            return false;
+        }
+        if warm.basis.iter().any(|&v| v >= self.n_total) {
+            return false;
+        }
+        let old = (self.basis.clone(), self.state.clone(), self.x.clone());
+        let ok = self.install(&warm.basis, &warm.at_upper) && self.try_refactorize();
+        if !ok {
+            self.restore_artificial(old.0, old.1, old.2);
         }
         ok
     }
@@ -728,12 +853,14 @@ impl<'a> Simplex<'a> {
     /// admissible nonbasic column in, until primal feasible.
     ///
     /// The pivot choice keeps dual feasibility (min-ratio on
-    /// `|d_j| / |alpha_j|`), and every tie breaks on the lowest index,
-    /// so the repair is deterministic. The primal objective is
-    /// non-decreasing along the way; [`STALL_LIMIT`] degenerate steps in
-    /// a row abandon the attempt ([`DualStatus::GiveUp`]) instead of
-    /// risking a cycle — the caller falls back to the cold solve.
+    /// `|d_j| / |alpha_j|` over the pivot row's non-zeros), and every tie
+    /// breaks on the lowest index, so the repair is deterministic. The
+    /// primal objective is non-decreasing along the way; [`STALL_LIMIT`]
+    /// degenerate steps in a row abandon the attempt
+    /// ([`DualStatus::GiveUp`]) instead of risking a cycle — the caller
+    /// falls back to the cold solve.
     fn run_dual(&mut self, max_iterations: usize) -> DualStatus {
+        self.ensure_priced(false);
         let mut stall = 0usize;
         let mut last_obj = f64::NEG_INFINITY;
         let mut last_viol = f64::INFINITY;
@@ -744,7 +871,7 @@ impl<'a> Simplex<'a> {
             if self.iterations & 0xff == 0 && dynp_obs::cancelled() {
                 return DualStatus::IterationLimit;
             }
-            if self.pivots_since_refactor >= self.refactor_every && !self.try_refactorize() {
+            if self.refactor_due() && !self.try_refactorize() {
                 // The evolved basis went numerically singular; abandon
                 // the repair, the caller falls back to the cold solve.
                 return DualStatus::GiveUp;
@@ -779,23 +906,23 @@ impl<'a> Simplex<'a> {
             self.iterations += 1;
             // Entering column: over nonbasic admissible columns, the
             // dual min-ratio |d_j| / |alpha_j| where alpha_j = (B⁻¹A_j)_r
-            // (computed from row r of B⁻¹) and d_j is the phase-2
-            // reduced cost. Admissible = moving j off its bound shifts
-            // the leaving variable toward the violated bound.
-            let y = self.btran(false);
-            let rho = &self.binv[r * self.m..(r + 1) * self.m];
+            // is read off the pivot row and d_j is the maintained
+            // phase-2 reduced cost. Admissible = moving j off its bound
+            // shifts the leaving variable toward the violated bound.
+            self.pivot_row(r);
             let mut enter: Option<(usize, f64)> = None; // (var, ratio)
-            for j in 0..self.n_total {
+            for (j, &alpha) in self.alpha.iter().enumerate() {
+                if alpha == 0.0 {
+                    continue;
+                }
                 let dir = match self.state[j] {
-                    VarState::Basic(_) => continue,
+                    VarState::Basic => continue,
                     VarState::AtLower => 1.0,
                     VarState::AtUpper => -1.0,
                 };
                 if self.lower[j] == self.upper[j] {
                     continue; // fixed (pinned artificials, fixed vars)
                 }
-                let mut alpha = 0.0;
-                self.for_column(j, |row, v| alpha += rho[row] * v);
                 // x_B[r] changes by -dir * alpha * t; "above" needs a
                 // decrease, "below" an increase.
                 let admissible = if above {
@@ -806,9 +933,7 @@ impl<'a> Simplex<'a> {
                 if !admissible {
                     continue;
                 }
-                let mut d = self.cost(false, j);
-                self.for_column(j, |row, v| d -= y[row] * v);
-                let ratio = d.abs() / alpha.abs();
+                let ratio = self.d[j].abs() / alpha.abs();
                 if enter.is_none_or(|(_, best)| ratio < best) {
                     enter = Some((j, ratio));
                 }
@@ -828,7 +953,7 @@ impl<'a> Simplex<'a> {
             let dir = match self.state[j_enter] {
                 VarState::AtLower => 1.0,
                 VarState::AtUpper => -1.0,
-                VarState::Basic(_) => unreachable!("entering var is nonbasic"),
+                VarState::Basic => unreachable!("entering var is nonbasic"),
             };
             let w = self.ftran(j_enter);
             if w[r].abs() <= PIVOT_TOL {
@@ -842,27 +967,25 @@ impl<'a> Simplex<'a> {
             };
             // Step length that lands the leaving variable on its bound.
             let t = ((self.x[leaving] - target) / (dir * w[r])).max(0.0);
+            self.obj += self.d[j_enter] * dir * t;
             self.x[j_enter] += dir * t;
             for i in 0..self.m {
                 let var = self.basis[i];
                 self.x[var] -= dir * t * w[i];
             }
             self.x[leaving] = target;
+            self.update_duals(j_enter, leaving, w[r]);
             self.state[leaving] = if above {
                 VarState::AtUpper
             } else {
                 VarState::AtLower
             };
-            self.basis[r] = j_enter;
-            self.state[j_enter] = VarState::Basic(r);
-            self.pivot_update(r, &w);
-            self.pivots_since_refactor += 1;
+            self.replace_basic(r, j_enter, &w);
             // The primal objective is non-decreasing in dual simplex;
             // degenerate (zero-progress) steps feed the stall counter.
-            let obj = self.phase_objective(false);
-            if obj > last_obj + TOL {
+            if self.obj > last_obj + TOL {
                 stall = 0;
-                last_obj = obj;
+                last_obj = self.obj;
             } else {
                 stall += 1;
                 if stall >= STALL_LIMIT {
@@ -875,7 +998,7 @@ impl<'a> Simplex<'a> {
     /// Finishes a successfully warm-started solve: dual repair, then the
     /// primal phase 2 (a no-op at optimality, and the safety net for any
     /// dual-tolerance drift), then extraction.
-    fn solve_from_warm(mut self, max_iterations: usize) -> WarmResult {
+    fn solve_from_warm(&mut self, max_iterations: usize) -> WarmResult {
         // Repair and polish under the perturbed costs (same tie-breaking
         // as the cold phase 2), then clean up on the true costs.
         self.perturbed = true;
@@ -883,21 +1006,18 @@ impl<'a> Simplex<'a> {
             DualStatus::Feasible => {}
             DualStatus::Infeasible => return WarmResult::Done(LpOutcome::Infeasible),
             DualStatus::IterationLimit => return WarmResult::Done(LpOutcome::IterationLimit),
-            DualStatus::GiveUp => return WarmResult::Fallback(self.iterations),
+            DualStatus::GiveUp => return WarmResult::Fallback,
         }
         let polish = self.run_phase(false, max_iterations);
         self.perturbed = false;
-        let cleanup = polish.and_then(|()| self.run_phase(false, max_iterations));
-        match cleanup {
-            Ok(()) => {}
-            Err(out) => {
-                if self.singular {
-                    // Numerically singular mid-polish: hand the node to
-                    // the cold path rather than reporting a fake limit.
-                    return WarmResult::Fallback(self.iterations);
-                }
-                return WarmResult::Done(out);
+        let cleanup = polish.and_then(|()| self.run_cleanup(max_iterations));
+        if let Err(halt) = cleanup {
+            if self.singular {
+                // Numerically singular mid-polish: hand the node to
+                // the cold path rather than reporting a fake limit.
+                return WarmResult::Fallback;
             }
+            return WarmResult::Done(halt.into());
         }
         self.recompute_basics();
         WarmResult::Done(self.extract_optimal())
@@ -910,11 +1030,11 @@ impl<'a> Simplex<'a> {
         })
     }
 
-    /// x_B = B^-1 (b - N x_N).
+    /// x_B = B⁻¹ (b − N x_N).
     fn recompute_basics(&mut self) {
         let mut rhs = self.model.rhs.clone();
         for j in 0..self.n_total {
-            if let VarState::Basic(_) = self.state[j] {
+            if let VarState::Basic = self.state[j] {
                 continue;
             }
             let xj = self.x[j];
@@ -922,22 +1042,28 @@ impl<'a> Simplex<'a> {
                 self.for_column(j, |r, v| rhs[r] -= v * xj);
             }
         }
-        for i in 0..self.m {
-            let mut v = 0.0;
-            for k in 0..self.m {
-                v += self.binv[i * self.m + k] * rhs[k];
-            }
+        self.lu.ftran(&mut rhs);
+        for (i, &v) in rhs.iter().enumerate() {
             self.x[self.basis[i]] = v;
         }
     }
 
     /// One phase of the simplex; returns `Ok(())` at optimality.
-    fn run_phase(&mut self, phase1: bool, max_iterations: usize) -> Result<(), LpOutcome> {
+    fn run_phase(&mut self, phase1: bool, max_iterations: usize) -> Result<(), Halt> {
+        let maintained = self.n_total <= MAINTAINED_PRICING_COLS;
+        if maintained {
+            self.ensure_priced(phase1);
+        } else {
+            // Reduced costs are computed per pricing block below, so the
+            // vector as a whole stops being current.
+            self.priced = None;
+            self.obj = self.phase_objective(phase1);
+        }
         let mut stall = 0usize;
         let mut last_obj = f64::INFINITY;
         loop {
             if self.iterations >= max_iterations {
-                return Err(LpOutcome::IterationLimit);
+                return Err(Halt::IterationLimit);
             }
             // Poll the cooperative cancel token every 256 iterations; a
             // cancelled LP surfaces as the iteration limit, which the
@@ -945,51 +1071,31 @@ impl<'a> Simplex<'a> {
             // accounting. The mask keeps the common-path cost at one
             // branch per iteration.
             if self.iterations & 0xff == 0 && dynp_obs::cancelled() {
-                return Err(LpOutcome::IterationLimit);
+                return Err(Halt::IterationLimit);
             }
             self.iterations += 1;
-            if self.pivots_since_refactor >= self.refactor_every && !self.try_refactorize() {
+            if self.refactor_due() && !self.try_refactorize() {
                 // Latch the failure for the caller: `solve` restarts the
                 // whole LP cold, the warm path falls back. The returned
                 // outcome is a placeholder both callers replace.
                 self.singular = true;
-                return Err(LpOutcome::IterationLimit);
+                return Err(Halt::IterationLimit);
             }
             let bland = stall >= STALL_LIMIT;
-            let y = self.btran(phase1);
-            // Pricing: partial (rotating blocks) under Dantzig, full scan
-            // from index 0 under Bland (anti-cycling needs a fixed order).
-            let mut enter: Option<(usize, f64, f64)> = None; // (var, |d|, dir)
-            if bland {
-                for j in 0..self.n_total {
-                    if let Some((d_abs, dir)) = self.price_candidate(phase1, j, &y) {
-                        enter = Some((j, d_abs, dir));
-                        break; // Bland: first improving index wins
-                    }
-                }
+            let mut enter = if maintained {
+                self.choose_entering(bland, None)
             } else {
-                // Rotate through blocks; stop at the end of the first
-                // block that contained an improving column.
-                let n = self.n_total;
-                let mut scanned = 0usize;
-                while scanned < n {
-                    let block_end = (scanned + PARTIAL_BLOCK).min(n);
-                    for off in scanned..block_end {
-                        let j = (self.price_start + off) % n;
-                        if let Some((d_abs, dir)) = self.price_candidate(phase1, j, &y) {
-                            if enter.is_none_or(|(_, best, _)| d_abs > best) {
-                                enter = Some((j, d_abs, dir));
-                            }
-                        }
-                    }
-                    scanned = block_end;
-                    if enter.is_some() {
-                        self.price_start = (self.price_start + scanned) % n;
-                        break;
-                    }
-                }
+                let y = self.duals(phase1);
+                self.choose_entering(bland, Some((&y, phase1)))
+            };
+            if maintained && enter.is_none() && !self.fresh && (phase1 || !self.perturbed) {
+                // The maintained reduced costs say optimal; decide on
+                // freshly computed ones. A perturbed pass skips this:
+                // the true-cost cleanup after it reprices and decides.
+                self.price(phase1);
+                enter = self.choose_entering(bland, None);
             }
-            let Some((j_enter, _, dir)) = enter else {
+            let Some((j_enter, dir)) = enter else {
                 return Ok(()); // optimal for this phase
             };
             // Ratio test.
@@ -1023,13 +1129,14 @@ impl<'a> Simplex<'a> {
                 return Err(if phase1 {
                     // Phase 1 objective is bounded below by 0; cannot be
                     // unbounded. Treat as numerical trouble.
-                    LpOutcome::IterationLimit
+                    Halt::IterationLimit
                 } else {
-                    LpOutcome::Unbounded
+                    Halt::Unbounded
                 });
             }
             let t = t_max.max(0.0);
             // Apply the step.
+            self.obj += self.d[j_enter] * dir * t;
             self.x[j_enter] += dir * t;
             for i in 0..self.m {
                 let var = self.basis[i];
@@ -1047,76 +1154,55 @@ impl<'a> Simplex<'a> {
                             self.x[j_enter] = self.lower[j_enter];
                             VarState::AtLower
                         }
-                        VarState::Basic(_) => unreachable!("entering var is nonbasic"),
+                        VarState::Basic => unreachable!("entering var is nonbasic"),
                     };
                 }
                 Some(r) => {
                     let leaving = self.basis[r];
-                    let delta = dir * w[r];
+                    if maintained {
+                        self.pivot_row(r);
+                        self.update_duals(j_enter, leaving, w[r]);
+                    }
                     // Snap the leaving variable exactly onto the bound it hit.
-                    if delta > 0.0 {
+                    if dir * w[r] > 0.0 {
                         self.x[leaving] = self.lower[leaving];
                         self.state[leaving] = VarState::AtLower;
                     } else {
                         self.x[leaving] = self.upper[leaving];
                         self.state[leaving] = VarState::AtUpper;
                     }
-                    self.basis[r] = j_enter;
-                    self.state[j_enter] = VarState::Basic(r);
-                    self.pivot_update(r, &w);
-                    self.pivots_since_refactor += 1;
+                    self.replace_basic(r, j_enter, &w);
                 }
             }
             // Stall detection on the phase objective.
-            let obj = self.phase_objective(phase1);
-            if obj < last_obj - TOL {
+            if self.obj < last_obj - TOL {
                 stall = 0;
-                last_obj = obj;
+                last_obj = self.obj;
             } else {
                 stall += 1;
             }
         }
     }
 
-    fn phase_objective(&self, phase1: bool) -> f64 {
-        (0..self.n_total)
-            .map(|j| self.cost(phase1, j) * self.x[j])
-            .sum()
+    /// The final phase-2 pass on the true costs, counted separately.
+    fn run_cleanup(&mut self, max_iterations: usize) -> Result<(), Halt> {
+        let before = self.iterations;
+        let out = self.run_phase(false, max_iterations);
+        self.stats.cleanup_iterations += self.iterations - before;
+        out
     }
 
-    /// Rank-one update of B^-1 after pivoting column `w` into row `r`.
-    fn pivot_update(&mut self, r: usize, w: &[f64]) {
-        let m = self.m;
-        let piv = w[r];
-        debug_assert!(piv.abs() > PIVOT_TOL, "tiny pivot {piv}");
-        // Row r /= piv.
-        for k in 0..m {
-            self.binv[r * m + k] /= piv;
-        }
-        for i in 0..m {
-            if i != r {
-                let factor = w[i];
-                if factor != 0.0 {
-                    for k in 0..m {
-                        self.binv[i * m + k] -= factor * self.binv[r * m + k];
-                    }
-                }
-            }
-        }
-    }
-
-    fn solve(mut self, max_iterations: usize, crashed: bool) -> LpOutcome {
+    fn solve(mut self, max_iterations: usize, crashed: bool) -> (LpOutcome, LpStats) {
         let out = self.solve_inner(max_iterations, crashed);
         if !self.singular {
-            return out;
+            return with_stats(out, self.stats);
         }
-        // The periodic refactorization found the evolved basis
-        // numerically singular — possible when a pivot was accepted on
-        // drifted inverse values. Restart once from scratch on the
-        // guaranteed-nonsingular artificial basis (structural node
-        // bounds are never mutated mid-solve, so they can be reused),
-        // folding the wasted pivots into the count to keep budget
-        // accounting honest and deterministic.
+        // A refactorization found the evolved basis numerically singular
+        // — possible when a pivot was accepted on drifted values. Restart
+        // once from scratch on the guaranteed-nonsingular artificial
+        // basis (structural node bounds are never mutated mid-solve, so
+        // they can be reused), folding the wasted pivots into the count
+        // to keep budget accounting honest and deterministic.
         let wasted = self.iterations;
         let mut fresh = Simplex::new(
             self.model,
@@ -1124,36 +1210,37 @@ impl<'a> Simplex<'a> {
             &self.upper[..self.n_struct],
         );
         let mut out = fresh.solve_inner(max_iterations, false);
+        fresh.stats += self.stats;
         if fresh.singular {
             // Unrecoverable numerics: report an honest give-up rather
             // than looping.
-            return LpOutcome::IterationLimit;
+            return (LpOutcome::IterationLimit, fresh.stats);
         }
         if let LpOutcome::Optimal(s) = &mut out {
             s.iterations += wasted;
         }
-        out
+        with_stats(out, fresh.stats)
     }
 
     fn solve_inner(&mut self, max_iterations: usize, crashed: bool) -> LpOutcome {
         // Phase 1: drive artificials to zero (skipped entirely when a
         // verified primal-feasible crash basis is installed).
         if self.m > 0 && !crashed {
-            match self.run_phase(true, max_iterations) {
-                Ok(()) => {}
-                Err(out) => return out,
+            if let Err(halt) = self.run_phase(true, max_iterations) {
+                return halt.into();
             }
             self.recompute_basics();
-            let infeas = self.phase_objective(true);
+            let art0 = self.n_struct + self.n_slack;
+            let infeas: f64 = self.x[art0..].iter().sum();
             if infeas > 1e-6 {
                 return LpOutcome::Infeasible;
             }
             // Fix artificials at zero so phase 2 can never reuse them.
             for i in 0..self.m {
-                let art = self.n_struct + self.n_slack + i;
+                let art = art0 + i;
                 self.lower[art] = 0.0;
                 self.upper[art] = 0.0;
-                if !matches!(self.state[art], VarState::Basic(_)) {
+                if !matches!(self.state[art], VarState::Basic) {
                     self.x[art] = 0.0;
                 }
             }
@@ -1163,26 +1250,10 @@ impl<'a> Simplex<'a> {
         // the perturbed optimum is almost always already optimal for
         // them, so the cleanup is a handful of pivots at most.
         self.perturbed = true;
-        let before = self.iterations;
         let phase2 = self.run_phase(false, max_iterations);
         self.perturbed = false;
-        let mid = self.iterations;
-        match phase2 {
-            Ok(()) => {}
-            Err(out) => return out,
-        }
-        let cleanup = self.run_phase(false, max_iterations);
-        if std::env::var_os("DYNP_SIMPLEX_DEBUG").is_some() {
-            eprintln!(
-                "simplex: m={} phase2={} cleanup={}",
-                self.m,
-                mid - before,
-                self.iterations - mid
-            );
-        }
-        match cleanup {
-            Ok(()) => {}
-            Err(out) => return out,
+        if let Err(halt) = phase2.and_then(|()| self.run_cleanup(max_iterations)) {
+            return halt.into();
         }
         self.recompute_basics();
         self.extract_optimal()
@@ -1190,20 +1261,15 @@ impl<'a> Simplex<'a> {
 
     /// Extracts the optimal solution from the current (phase-2 optimal)
     /// basis: structural values, reduced costs, and the captured basis
-    /// for warm-starting children.
-    fn extract_optimal(&self) -> LpOutcome {
-        let x = self.x[..self.n_struct].to_vec();
-        // Reduced costs d_j = c_j - y A_j at the optimal basis.
-        let y = self.btran(false);
-        let mut reduced_costs = vec![0.0; self.n_struct];
-        for (j, rc) in reduced_costs.iter_mut().enumerate() {
-            if matches!(self.state[j], VarState::Basic(_)) {
-                continue;
-            }
-            let mut d = self.model.objective[j];
-            self.for_column(j, |r, v| d -= y[r] * v);
-            *rc = d;
+    /// for warm-starting children. The reduced costs are fresh true-cost
+    /// ones — after a maintained cleanup pass, the very ones it confirmed
+    /// optimality on.
+    fn extract_optimal(&mut self) -> LpOutcome {
+        if !self.fresh || self.priced != Some((false, false)) {
+            self.price(false);
         }
+        let x = self.x[..self.n_struct].to_vec();
+        let reduced_costs = self.d[..self.n_struct].to_vec();
         let at_upper = (0..self.n_total)
             .filter(|&j| matches!(self.state[j], VarState::AtUpper))
             .collect();
@@ -1216,7 +1282,28 @@ impl<'a> Simplex<'a> {
                 basis: self.basis.clone(),
                 at_upper,
             }),
+            stats: self.stats,
         })
+    }
+}
+
+/// Why a primal phase stopped short of optimality (see
+/// [`Simplex::run_phase`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Halt {
+    /// Iteration budget (or a cancel token) expired, or numerical
+    /// trouble that the caller treats the same way.
+    IterationLimit,
+    /// The phase-2 objective decreases without bound.
+    Unbounded,
+}
+
+impl From<Halt> for LpOutcome {
+    fn from(halt: Halt) -> LpOutcome {
+        match halt {
+            Halt::IterationLimit => LpOutcome::IterationLimit,
+            Halt::Unbounded => LpOutcome::Unbounded,
+        }
     }
 }
 
@@ -1238,9 +1325,9 @@ enum DualStatus {
 enum WarmResult {
     /// The warm path produced a definitive outcome.
     Done(LpOutcome),
-    /// The warm path was abandoned after this many wasted iterations;
-    /// the caller must re-solve cold.
-    Fallback(usize),
+    /// The warm path was abandoned; the caller must re-solve cold and
+    /// fold in the iterations spent so far.
+    Fallback,
 }
 
 #[cfg(test)]
@@ -1668,6 +1755,73 @@ mod tests {
         let s = out.optimal().expect("child solvable");
         assert!(used, "artificial-bearing basis is still warm-startable");
         assert!((s.objective - 2.0).abs() < 1e-6, "obj {}", s.objective);
+    }
+
+    #[test]
+    fn singular_refactorization_latches_a_cold_restart() {
+        let m = warm_parent();
+        // Columns x0, x1 and the two slacks leave row 1 empty.
+        let singular = vec![0, 1, 4, 5];
+        let mut sx = Simplex::new(&m, &m.lower, &m.upper);
+        sx.basis = singular.clone();
+        assert!(!sx.try_refactorize(), "a singular basis must not factor");
+        // A basis that turns singular mid-phase latches the flag at the
+        // next refactorization instead of panicking...
+        let mut sx = Simplex::new(&m, &m.lower, &m.upper);
+        sx.basis = singular.clone();
+        sx.drifted = true;
+        assert_eq!(sx.run_phase(true, 1_000), Err(Halt::IterationLimit));
+        assert!(sx.singular);
+        // ...and `solve` restarts cold from the artificial basis, counting
+        // the abandoned attempt's work.
+        let mut sx = Simplex::new(&m, &m.lower, &m.upper);
+        sx.basis = singular;
+        sx.drifted = true;
+        let (out, stats) = sx.solve(100_000, false);
+        let s = out.optimal().expect("the cold restart solves");
+        assert!((s.objective - 3.0).abs() < 1e-6);
+        assert_eq!(s.stats, stats);
+        assert!(stats.pivots > 0 && stats.refactors <= stats.pivots);
+    }
+
+    #[test]
+    fn wide_models_price_partially_and_stay_optimal() {
+        // Enough start slots that the model is wider than
+        // MAINTAINED_PRICING_COLS, so the primal phases price from fresh
+        // duals. Optimality is certified independently: the point is
+        // feasible and every reduced cost has the sign its bound allows.
+        let jobs: Vec<dynp_trace::Job> = (0..16u32)
+            .map(|i| {
+                let h = mix64(u64::from(i));
+                dynp_trace::Job::exact(i, 0, 1 + (h % 8) as u32, 60 * (1 + (h >> 8) % 40))
+            })
+            .collect();
+        let horizon: u64 = jobs.iter().map(|j| j.estimated_duration).sum();
+        let problem = dynp_sched::SchedulingProblem::on_empty_machine(0, 8, jobs);
+        let ti = crate::TimeIndexedModel::build(&problem, crate::TimeScaling::fixed(60), horizon);
+        let model = &ti.model;
+        let n_total = model.num_vars() + model.num_constraints() * 2;
+        assert!(
+            n_total > MAINTAINED_PRICING_COLS,
+            "model too narrow: {n_total}"
+        );
+        let crash = ti.crash_start(&model.lower, &model.upper);
+        let from_crash =
+            solve_lp_with_start(model, &model.lower, &model.upper, crash.as_ref(), 200_000);
+        let s = from_crash.optimal().expect("wide LP solves");
+        model.check_feasible(&s.x, 1e-6).unwrap();
+        for (j, &d) in s.reduced_costs.iter().enumerate() {
+            if s.x[j] <= model.lower[j] + 1e-9 {
+                assert!(d >= -1e-6, "x{j} at lower with d = {d}");
+            } else if s.x[j] >= model.upper[j] - 1e-9 {
+                assert!(d <= 1e-6, "x{j} at upper with d = {d}");
+            } else {
+                assert!(d.abs() <= 1e-6, "x{j} basic with d = {d}");
+            }
+        }
+        let from_phase1 = solve(model);
+        let cold = from_phase1.optimal().expect("phase 1 start solves too");
+        assert!((cold.objective - s.objective).abs() < 1e-6 * s.objective.abs().max(1.0));
     }
 
     #[test]

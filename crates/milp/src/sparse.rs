@@ -2,11 +2,15 @@
 //!
 //! The time-indexed constraint matrix is extremely sparse — each variable
 //! `x_it` appears in exactly one assignment row and `ceil(d_i/scale)`
-//! capacity rows — and the revised simplex only ever needs fast access to
-//! *columns* (pricing, FTRAN), which CSC provides.
+//! capacity rows. The revised simplex reads it by *column* (FTRAN, basis
+//! factorization), which CSC provides, and by *row* when it forms the
+//! pivot row `ρᵀA` from a sparse `ρ`; [`CscMatrix::row_major`] serves
+//! the latter from a row-wise copy built once per matrix.
+
+use std::sync::OnceLock;
 
 /// A sparse matrix stored column-wise.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct CscMatrix {
     rows: usize,
     cols: usize,
@@ -17,6 +21,47 @@ pub struct CscMatrix {
     row_idx: Vec<u32>,
     /// Value of each stored entry.
     values: Vec<f64>,
+    /// Row-wise copy, built on first use. The matrix is immutable after
+    /// construction, so the copy can never go stale.
+    row_major: OnceLock<CsrMatrix>,
+}
+
+impl PartialEq for CscMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.col_ptr == other.col_ptr
+            && self.row_idx == other.row_idx
+            && self.values == other.values
+    }
+}
+
+/// The same matrix stored row-wise (compressed sparse row), as returned
+/// by [`CscMatrix::row_major`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct CsrMatrix {
+    /// Start offset of each row in `col_idx`/`values`; length `rows+1`.
+    row_ptr: Vec<usize>,
+    /// Column index of each stored entry, increasing within a row.
+    col_idx: Vec<u32>,
+    /// Value of each stored entry.
+    values: Vec<f64>,
+}
+
+impl CsrMatrix {
+    /// Number of stored non-zeros in row `i`.
+    pub fn row_nnz(&self, i: usize) -> usize {
+        self.row_ptr[i + 1] - self.row_ptr[i]
+    }
+
+    /// Iterates the non-zeros of row `i` as `(column, value)`.
+    pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let range = self.row_ptr[i]..self.row_ptr[i + 1];
+        self.col_idx[range.clone()]
+            .iter()
+            .zip(&self.values[range])
+            .map(|(&c, &v)| (c as usize, v))
+    }
 }
 
 /// Incremental builder: append one column at a time.
@@ -68,6 +113,7 @@ impl CscBuilder {
             col_ptr: self.col_ptr,
             row_idx: self.row_idx,
             values: self.values,
+            row_major: OnceLock::new(),
         }
     }
 }
@@ -105,6 +151,11 @@ impl CscMatrix {
         self.values.len()
     }
 
+    /// Number of stored non-zeros in column `j`.
+    pub fn col_nnz(&self, j: usize) -> usize {
+        self.col_ptr[j + 1] - self.col_ptr[j]
+    }
+
     /// Iterates the non-zeros of column `j` as `(row, value)`.
     pub fn column(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let range = self.col_ptr[j]..self.col_ptr[j + 1];
@@ -127,6 +178,35 @@ impl CscMatrix {
         for (r, v) in self.column(j) {
             out[r] = v;
         }
+    }
+
+    /// The row-wise copy of this matrix, built on the first call and
+    /// shared by every later one (and by clones made after it).
+    pub fn row_major(&self) -> &CsrMatrix {
+        self.row_major.get_or_init(|| {
+            let mut row_ptr = vec![0usize; self.rows + 1];
+            for &r in &self.row_idx {
+                row_ptr[r as usize + 1] += 1;
+            }
+            for i in 0..self.rows {
+                row_ptr[i + 1] += row_ptr[i];
+            }
+            let mut next = row_ptr.clone();
+            let mut col_idx = vec![0u32; self.nnz()];
+            let mut values = vec![0.0; self.nnz()];
+            for j in 0..self.cols {
+                for (r, v) in self.column(j) {
+                    col_idx[next[r]] = j as u32;
+                    values[next[r]] = v;
+                    next[r] += 1;
+                }
+            }
+            CsrMatrix {
+                row_ptr,
+                col_idx,
+                values,
+            }
+        })
     }
 
     /// Computes `A * x` for a dense `x`.
@@ -221,6 +301,17 @@ mod tests {
         let mut out = vec![0.0; 3];
         m.scatter_column(2, &mut out);
         assert_eq!(out, vec![2.0, 0.0, 5.0]);
+    }
+
+    #[test]
+    fn row_major_copy_matches_columns() {
+        let m = sample();
+        let csr = m.row_major();
+        assert_eq!(csr.row(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 2.0)]);
+        assert_eq!(csr.row(1).collect::<Vec<_>>(), vec![(1, 3.0)]);
+        assert_eq!(csr.row(2).collect::<Vec<_>>(), vec![(0, 4.0), (2, 5.0)]);
+        // The cache does not take part in equality.
+        assert_eq!(m, sample());
     }
 
     #[test]
