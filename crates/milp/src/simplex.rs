@@ -18,8 +18,13 @@
 //! * reduced costs and the phase objective updated from that pivot row
 //!   on every pivot, and recomputed from scratch at every
 //!   refactorization, every change of cost vector, and before a phase
-//!   declares optimality — so pricing and the dual ratio test read a
-//!   maintained vector instead of a column dot product per column,
+//!   declares optimality or unboundedness — so pricing and the dual
+//!   ratio test read a maintained vector instead of a column dot product
+//!   per column,
+//! * per refactorization window, primal pricing from that maintained
+//!   vector or partially from freshly computed duals, whichever visited
+//!   fewer matrix entries per iteration when last measured (a pivot row
+//!   of a very wide model costs more than a pricing block),
 //! * Dantzig pricing over rotating blocks with a permanent switch to
 //!   Bland's rule after a stall, guaranteeing termination.
 //!
@@ -53,12 +58,57 @@ const DRIFT_TOL: f64 = 1e-7;
 const STALL_LIMIT: usize = 512;
 /// Column block size for partial pricing.
 const PARTIAL_BLOCK: usize = 512;
-/// Primal phases keep every reduced cost up to date from the pivot row
-/// on models with at most this many columns (slacks and artificials
-/// included). Wider models price partially from duals `y = B⁻ᵀc_B`
-/// recomputed every iteration instead: there the pivot row touches far
-/// more entries than a pricing block does.
-const MAINTAINED_PRICING_COLS: usize = 8 * PARTIAL_BLOCK;
+
+/// How a primal phase prices, chosen per refactorization window from the
+/// work each way measurably costs.
+///
+/// *Maintained* pricing reads `d`, which every pivot updates from the
+/// pivot row `ρᵀA`. *Partial* pricing recomputes `y = B⁻ᵀc_B` every
+/// iteration and the reduced costs of the columns it scans, block by
+/// block, and stops maintaining `d`. Both BTRAN once per iteration, so
+/// they are compared on the matrix entries they visit beyond that: a
+/// pivot row visits the rows where `ρ` is non-zero plus one entry per
+/// column for the update, a partial pass visits the columns it scans.
+/// Work is counted, not timed, so the choice — and with it the LP — stays
+/// a pure function of the model, its bounds and its start.
+#[derive(Clone, Copy, Debug, Default)]
+struct PricingWork {
+    /// Mean entries a pivot row visited, over the last window that
+    /// formed one (primal or dual).
+    row: Option<f64>,
+    /// Mean entries a partial pricing pass visited, over the last window
+    /// that priced partially.
+    scan: Option<f64>,
+    /// The open window's totals: entries and count of pivot rows, and of
+    /// partial pricing passes.
+    row_work: usize,
+    rows: usize,
+    scan_work: usize,
+    scans: usize,
+}
+
+impl PricingWork {
+    /// Closes the window at a refactorization: its means replace the
+    /// older ones of whichever kinds of work it did.
+    fn close_window(&mut self) {
+        if self.rows > 0 {
+            self.row = Some(self.row_work as f64 / self.rows as f64);
+        }
+        if self.scans > 0 {
+            self.scan = Some(self.scan_work as f64 / self.scans as f64);
+        }
+        (self.row_work, self.rows, self.scan_work, self.scans) = (0, 0, 0, 0);
+    }
+
+    /// Whether partial pricing is the cheaper way for the next window.
+    /// Until partial pricing has been measured, one pricing block
+    /// (`block`, its least cost) stands in for it; a window of it then
+    /// measures the real cost, and the next refactorization switches
+    /// back if maintaining `d` was cheaper after all.
+    fn prefer_partial(&self, block: f64) -> bool {
+        self.row.is_some_and(|row| self.scan.unwrap_or(block) < row)
+    }
+}
 
 /// Work counters of one LP solve. They are counted per factorization and
 /// per pivot; only factorizations are timed.
@@ -327,6 +377,11 @@ struct Simplex<'a> {
     priced: Option<(bool, bool)>,
     /// Whether `d` was recomputed from scratch with no pivot since.
     fresh: bool,
+    /// Whether primal phases currently price partially from fresh duals
+    /// instead of from the maintained `d` (see [`PricingWork`]).
+    partial: bool,
+    /// Measured work of both ways to price.
+    pricing: PricingWork,
     /// The current pivot row, one entry per variable.
     alpha: Vec<f64>,
     iterations: usize,
@@ -424,6 +479,8 @@ impl<'a> Simplex<'a> {
             obj: 0.0,
             priced: None,
             fresh: false,
+            partial: false,
+            pricing: PricingWork::default(),
             alpha: vec![0.0; n_total],
             iterations: 0,
             price_start: 0,
@@ -456,6 +513,23 @@ impl<'a> Simplex<'a> {
             let r = j - self.n_struct - self.n_slack;
             f(r, self.art_sign[r]);
         }
+    }
+
+    /// Number of non-zeros of column `j`.
+    fn column_nnz(&self, j: usize) -> usize {
+        if j < self.n_struct {
+            self.model.matrix.col_nnz(j)
+        } else {
+            1
+        }
+    }
+
+    /// The least work of a partial pricing pass: one block of average
+    /// columns, counted as [`Simplex::choose_entering`] counts it.
+    fn block_work(&self) -> f64 {
+        let entries = self.model.matrix.nnz() + self.n_slack + self.m;
+        let per_column = 1.0 + entries as f64 / self.n_total as f64;
+        PARTIAL_BLOCK.min(self.n_total) as f64 * per_column
     }
 
     /// Places nonbasic variables on a bound and builds the all-artificial
@@ -598,10 +672,14 @@ impl<'a> Simplex<'a> {
             if let Some((y, phase1)) = duals {
                 if !matches!(sx.state[j], VarState::Basic) {
                     sx.d[j] = sx.reduced_cost(phase1, j, y);
+                    sx.pricing.scan_work += 1 + sx.column_nnz(j);
                 }
             }
             sx.price_candidate(j)
         };
+        if duals.is_some() {
+            self.pricing.scans += 1;
+        }
         if bland {
             return (0..self.n_total).find_map(|j| candidate(self, j).map(|(_, dir)| (j, dir)));
         }
@@ -652,13 +730,17 @@ impl<'a> Simplex<'a> {
         let (structural, rest) = self.alpha.split_at_mut(self.n_struct);
         let (slacks, artificials) = rest.split_at_mut(self.n_slack);
         structural.fill(0.0);
+        let mut work = self.n_total;
         for (i, &p) in rho.iter().enumerate() {
             if p != 0.0 {
+                work += self.rows.row_nnz(i);
                 for (j, a) in self.rows.row(i) {
                     structural[j] += p * a;
                 }
             }
         }
+        self.pricing.row_work += work;
+        self.pricing.rows += 1;
         for (k, alpha) in slacks.iter_mut().enumerate() {
             *alpha = rho[self.slack_row[k]] * self.slack_sign[k];
         }
@@ -722,6 +804,7 @@ impl<'a> Simplex<'a> {
     /// singular basis, leaving the factorization of the previous basis in
     /// place.
     fn try_refactorize(&mut self) -> bool {
+        self.pricing.close_window();
         let started = Instant::now();
         let factored = BasisLu::factor(&self.basis_matrix());
         self.stats.refactor_time += started.elapsed();
@@ -1050,14 +1133,13 @@ impl<'a> Simplex<'a> {
 
     /// One phase of the simplex; returns `Ok(())` at optimality.
     fn run_phase(&mut self, phase1: bool, max_iterations: usize) -> Result<(), Halt> {
-        let maintained = self.n_total <= MAINTAINED_PRICING_COLS;
-        if maintained {
-            self.ensure_priced(phase1);
-        } else {
+        if self.partial {
             // Reduced costs are computed per pricing block below, so the
-            // vector as a whole stops being current.
+            // vector as a whole is not current.
             self.priced = None;
             self.obj = self.phase_objective(phase1);
+        } else {
+            self.ensure_priced(phase1);
         }
         let mut stall = 0usize;
         let mut last_obj = f64::INFINITY;
@@ -1074,21 +1156,25 @@ impl<'a> Simplex<'a> {
                 return Err(Halt::IterationLimit);
             }
             self.iterations += 1;
-            if self.refactor_due() && !self.try_refactorize() {
-                // Latch the failure for the caller: `solve` restarts the
-                // whole LP cold, the warm path falls back. The returned
-                // outcome is a placeholder both callers replace.
-                self.singular = true;
-                return Err(Halt::IterationLimit);
+            if self.refactor_due() {
+                if !self.try_refactorize() {
+                    // Latch the failure for the caller: `solve` restarts
+                    // the whole LP cold, the warm path falls back. The
+                    // returned outcome is a placeholder both callers
+                    // replace.
+                    self.singular = true;
+                    return Err(Halt::IterationLimit);
+                }
+                self.choose_pricing(phase1);
             }
             let bland = stall >= STALL_LIMIT;
-            let mut enter = if maintained {
-                self.choose_entering(bland, None)
-            } else {
+            let mut enter = if self.partial {
                 let y = self.duals(phase1);
                 self.choose_entering(bland, Some((&y, phase1)))
+            } else {
+                self.choose_entering(bland, None)
             };
-            if maintained && enter.is_none() && !self.fresh && (phase1 || !self.perturbed) {
+            if !self.partial && enter.is_none() && !self.fresh && (phase1 || !self.perturbed) {
                 // The maintained reduced costs say optimal; decide on
                 // freshly computed ones. A perturbed pass skips this:
                 // the true-cost cleanup after it reprices and decides.
@@ -1126,13 +1212,19 @@ impl<'a> Simplex<'a> {
                 }
             }
             if t_max.is_infinite() {
-                return Err(if phase1 {
+                if phase1 {
                     // Phase 1 objective is bounded below by 0; cannot be
                     // unbounded. Treat as numerical trouble.
-                    Halt::IterationLimit
-                } else {
-                    Halt::Unbounded
-                });
+                    return Err(Halt::IterationLimit);
+                }
+                if !self.partial && !self.fresh {
+                    // The ray was chosen on maintained reduced costs;
+                    // report it only if fresh ones still improve along
+                    // it, as they do when the next iteration picks it.
+                    self.price(phase1);
+                    continue;
+                }
+                return Err(Halt::Unbounded);
             }
             let t = t_max.max(0.0);
             // Apply the step.
@@ -1159,7 +1251,7 @@ impl<'a> Simplex<'a> {
                 }
                 Some(r) => {
                     let leaving = self.basis[r];
-                    if maintained {
+                    if !self.partial {
                         self.pivot_row(r);
                         self.update_duals(j_enter, leaving, w[r]);
                     }
@@ -1181,6 +1273,18 @@ impl<'a> Simplex<'a> {
             } else {
                 stall += 1;
             }
+        }
+    }
+
+    /// Chooses, after a refactorization, how the primal phase prices
+    /// until the next one (see [`PricingWork`]). Switching to maintained
+    /// pricing recomputes `d`; switching away stops updating it.
+    fn choose_pricing(&mut self, phase1: bool) {
+        self.partial = self.pricing.prefer_partial(self.block_work());
+        if self.partial {
+            self.priced = None;
+        } else {
+            self.ensure_priced(phase1);
         }
     }
 
@@ -1786,10 +1890,11 @@ mod tests {
 
     #[test]
     fn wide_models_price_partially_and_stay_optimal() {
-        // Enough start slots that the model is wider than
-        // MAINTAINED_PRICING_COLS, so the primal phases price from fresh
-        // duals. Optimality is certified independently: the point is
-        // feasible and every reduced cost has the sign its bound allows.
+        // Enough start slots that a pivot row visits more entries than a
+        // pricing block, so the primal phase switches to partial pricing
+        // from fresh duals. Optimality is certified independently: the
+        // point is feasible and every reduced cost has the sign its
+        // bound allows.
         let jobs: Vec<dynp_trace::Job> = (0..16u32)
             .map(|i| {
                 let h = mix64(u64::from(i));
@@ -1800,14 +1905,17 @@ mod tests {
         let problem = dynp_sched::SchedulingProblem::on_empty_machine(0, 8, jobs);
         let ti = crate::TimeIndexedModel::build(&problem, crate::TimeScaling::fixed(60), horizon);
         let model = &ti.model;
-        let n_total = model.num_vars() + model.num_constraints() * 2;
+        let crash = ti
+            .crash_start(&model.lower, &model.upper)
+            .expect("crash basis");
+        let mut sx = Simplex::new(model, &model.lower, &model.upper);
+        assert!(sx.try_crash(&crash));
+        let from_crash = sx.solve_inner(200_000, true);
+        let (row, scan) = (sx.pricing.row.unwrap(), sx.pricing.scan.unwrap());
         assert!(
-            n_total > MAINTAINED_PRICING_COLS,
-            "model too narrow: {n_total}"
+            scan < row,
+            "partial pricing measured dearer: {scan} vs {row}"
         );
-        let crash = ti.crash_start(&model.lower, &model.upper);
-        let from_crash =
-            solve_lp_with_start(model, &model.lower, &model.upper, crash.as_ref(), 200_000);
         let s = from_crash.optimal().expect("wide LP solves");
         model.check_feasible(&s.x, 1e-6).unwrap();
         for (j, &d) in s.reduced_costs.iter().enumerate() {
@@ -1822,6 +1930,52 @@ mod tests {
         let from_phase1 = solve(model);
         let cold = from_phase1.optimal().expect("phase 1 start solves too");
         assert!((cold.objective - s.objective).abs() < 1e-6 * s.objective.abs().max(1.0));
+    }
+
+    #[test]
+    fn pricing_follows_the_last_measured_work() {
+        let mut w = PricingWork::default();
+        assert!(!w.prefer_partial(10.0), "nothing measured: maintain");
+        // A window of two pivot rows of 100 entries each, dearer than
+        // the one-block estimate: try partial pricing.
+        (w.row_work, w.rows) = (200, 2);
+        w.close_window();
+        assert!(w.prefer_partial(50.0) && !w.prefer_partial(150.0));
+        // Partial passes measured at 300 entries: back to maintaining,
+        // whatever the estimate; an empty window changes nothing.
+        (w.scan_work, w.scans) = (900, 3);
+        w.close_window();
+        w.close_window();
+        assert_eq!((w.row, w.scan), (Some(100.0), Some(300.0)));
+        assert!(!w.prefer_partial(50.0));
+    }
+
+    #[test]
+    fn maintained_pricing_confirms_a_ray_on_fresh_reduced_costs() {
+        // min x + y s.t. y <= 5, x and y in [0, inf): bounded, optimum 0
+        // at the origin, but x alone is a ray of the feasible set.
+        let mut b = crate::sparse::CscBuilder::new(1);
+        b.push_column(&[]);
+        b.push_column(&[(0, 1.0)]);
+        let m = Milp::new(
+            vec![1.0, 1.0],
+            b.build(),
+            vec![Sense::Le],
+            vec![5.0],
+            vec![0.0, 0.0],
+            vec![f64::INFINITY, f64::INFINITY],
+            vec![false, false],
+        );
+        let mut sx = Simplex::new(&m, &m.lower, &m.upper);
+        assert_eq!(sx.run_phase(true, 100), Ok(()));
+        sx.price(false);
+        // A drifted maintained d_x that says entering x improves.
+        sx.d[0] = -1.0;
+        sx.fresh = false;
+        assert_eq!(sx.run_phase(false, 100), Ok(()));
+        assert!(sx.d[0] > 0.0 && sx.x[0] == 0.0);
+        let s = solve(&m);
+        assert_eq!(s.optimal().map(|s| s.objective), Some(0.0));
     }
 
     #[test]
