@@ -1,14 +1,13 @@
 //! A small fixed-size worker pool with dynamic (self-scheduling) cell
 //! pickup and per-item panic isolation.
 //!
-//! The vendored rayon stand-in splits its input into one contiguous chunk
-//! per core, which load-balances badly when cells have very different
-//! costs (an exact-comparison cell can be orders of magnitude slower than
-//! a plain replay cell) and offers no control over the worker count. The
-//! campaign runner needs both — heterogeneous cells *and* a `workers`
-//! knob for the speedup experiments — so this pool hands out items one at
-//! a time from a shared atomic cursor and collects results in input
-//! order.
+//! Splitting the input into one contiguous chunk per core load-balances
+//! badly when cells have very different costs (an exact-comparison cell
+//! can be orders of magnitude slower than a plain replay cell). The
+//! campaign runner and the bench harness's snapshot solves need both
+//! heterogeneous cells *and* a worker count of their choosing, so this
+//! pool hands out items one at a time from a shared atomic cursor and
+//! collects results in input order.
 //!
 //! **Panics do not abort the pool.** Each `f(i, item)` call runs under
 //! [`call_caught`]: a panicking item yields [`SlotOutcome::Panicked`]

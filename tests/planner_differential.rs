@@ -1,6 +1,6 @@
 //! Differential acceptance test for the planner hot-path overhaul: the
 //! optimized planner (shared availability profile, `compress_before`
-//! prefix compression, skip-scan `earliest_fit`, parallel per-policy
+//! prefix compression, skip-scan `earliest_fit`, serial per-policy
 //! planning) must produce schedules **bit-identical** to the pre-overhaul
 //! planner — same starts, same entry order — for every policy on every
 //! snapshot a synthetic CTC run produces.
